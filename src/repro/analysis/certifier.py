@@ -40,10 +40,7 @@ from typing import List, Optional, Tuple
 import networkx as nx
 
 from repro.noc.flit import OPPOSITE, Port, UPWARD_PORTS
-from repro.routing.cdg import RoutingLoopError, build_system_cdg
-
-#: (router id, output port): one entry of a route's channel sequence.
-Channel = Tuple[int, Port]
+from repro.routing.cdg import Channel, Routes, build_system_cdg, healthy_links
 
 #: scheme expectation values (see ``DeadlockScheme.cdg_expectation``).
 EXPECT_ACYCLIC = "acyclic"
@@ -187,7 +184,8 @@ class Certificate:
 
 
 def check_routing_totality(
-    network, nodes: Optional[List[int]] = None, max_hops: Optional[int] = None
+    network, nodes: Optional[List[int]] = None, max_hops: Optional[int] = None,
+    routes: Optional[Routes] = None,
 ) -> TotalityReport:
     """Walk every src -> dst route through the live routing function.
 
@@ -195,53 +193,55 @@ def check_routing_totality(
     (default ``4 * n_routers``), every hop leaving through a healthy link,
     in-port consistency (the port a flit arrives on matches the link's
     declared destination port via :data:`~repro.noc.flit.OPPOSITE`), and
-    no repeated (router, out_port) channel within the route.
+    no repeated (router, out_port) channel within the route.  ``routes``,
+    when given, receives each sound route's channels (an
+    :func:`~repro.routing.cdg.all_routes` table for the CDG).
     """
     topo = network.topo
     if nodes is None:
         nodes = list(range(topo.n_routers))
     if max_hops is None:
         max_hops = 4 * topo.n_routers
-    links = {}
-    for spec in topo.links:
-        if (spec.src, spec.dst) not in topo.faulty:
-            links[(spec.src, spec.src_port)] = (spec.dst, spec.dst_port)
+    links = healthy_links(topo)
     report = TotalityReport()
     for src in nodes:
         for dst in nodes:
             if src == dst:
                 continue
             report.routes_checked += 1
-            violation = _walk_route(network, links, src, dst, max_hops, report)
+            channels, violation = _walk_route(network, links, src, dst, max_hops)
             if violation is not None:
                 report.violations.append(violation)
+                continue
+            report.max_route_hops = max(report.max_route_hops, len(channels))
+            if routes is not None:
+                routes[(src, dst)] = channels
     return report
 
 
 def _walk_route(
-    network, links, src: int, dst: int, max_hops: int, report: TotalityReport
-) -> Optional[RouteViolation]:
+    network, links, src: int, dst: int, max_hops: int
+) -> Tuple[List[Channel], Optional[RouteViolation]]:
     rid, in_port = src, Port.LOCAL
-    seen = set()
-    hops = 0
+    channels: List[Channel] = []
     while rid != dst:
         router = network.routers[rid]
         out = network.routing(router, in_port, dst, src)
         if out == Port.LOCAL:
-            return RouteViolation(
+            return channels, RouteViolation(
                 src, dst, "misroute",
                 f"routed to LOCAL at router {rid} before reaching {dst}",
             )
         channel = (rid, out)
-        if channel in seen:
-            return RouteViolation(
+        if channel in channels:
+            return channels, RouteViolation(
                 src, dst, "channel-reuse",
                 f"channel ({rid}, {out.name}) used twice (livelock loop)",
             )
-        seen.add(channel)
+        channels.append(channel)
         hop = links.get(channel)
         if hop is None:
-            return RouteViolation(
+            return channels, RouteViolation(
                 src, dst, "dead-end",
                 f"router {rid} has no healthy link out of {out.name}",
             )
@@ -249,21 +249,18 @@ def _walk_route(
         if next_in != OPPOSITE.get(out, next_in) and out not in (
             Port.UP, Port.UP2, Port.DOWN, Port.DOWN2
         ):
-            return RouteViolation(
+            return channels, RouteViolation(
                 src, dst, "in-port",
                 f"link {rid}:{out.name} delivers into {next_rid}:{next_in.name}, "
                 f"expected {OPPOSITE[out].name}",
             )
         rid, in_port = next_rid, next_in
-        hops += 1
-        if hops > max_hops:
-            return RouteViolation(
+        if len(channels) > max_hops:
+            return channels, RouteViolation(
                 src, dst, "loop",
                 f"exceeded the {max_hops}-hop bound without reaching {dst}",
             )
-    if hops > report.max_route_hops:
-        report.max_route_hops = hops
-    return None
+    return channels, None
 
 
 # --------------------------------------------------------------------- #
@@ -299,9 +296,10 @@ def certify_network(network, max_witnesses: int = 5) -> Certificate:
     scheme = network.scheme
     expectation = getattr(scheme, "cdg_expectation", EXPECT_UPWARD_CYCLES)
 
-    totality = check_routing_totality(network)
+    routes: Routes = {}
+    totality = check_routing_totality(network, routes=routes)
     if totality.ok:
-        graph = build_system_cdg(network)
+        graph = build_system_cdg(network, routes=routes)
     else:
         # the CDG walk would hit the same defects; build over the healthy
         # routes only so the report still carries structural information

@@ -59,14 +59,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.noc.flit import Port, UPWARD_PORTS
-from repro.routing.cdg import build_system_cdg, route_channels
+from repro.noc.flit import UPWARD_PORTS
+from repro.routing.cdg import Channel, all_routes, build_system_cdg, route_channels
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.sim.presets import table2_config, table2_upp_config
 from repro.topology.registry import get_topology
 
-#: (router id, output port) — one channel of the real system.
-Channel = Tuple[int, Port]
 #: (src node, dst node) — one saturated traffic flow.
 Flow = Tuple[int, int]
 
@@ -461,15 +459,6 @@ def extract_witness(exploration: Exploration) -> Optional[Witness]:
 # flow selection (the reproducible derivation of MC_PRESETS flow sets)
 
 
-def _all_routes(network, nodes) -> Dict[Flow, List[Channel]]:
-    routes = {}
-    for src in nodes:
-        for dst in nodes:
-            if src != dst:
-                routes[(src, dst)] = route_channels(network, src, dst)
-    return routes
-
-
 def select_flows(
     network,
     max_cycle_len: int = 12,
@@ -492,8 +481,8 @@ def select_flows(
     routing's acyclic CDG).
     """
     nodes = network.topo.chiplet_nodes
-    graph = build_system_cdg(network, nodes)
-    routes = _all_routes(network, nodes)
+    routes = all_routes(network, nodes)
+    graph = build_system_cdg(network, routes=routes)
     cycles = sorted(
         nx.simple_cycles(graph, length_bound=max_cycle_len), key=len
     )

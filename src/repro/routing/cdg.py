@@ -12,7 +12,7 @@ Used by the test suite to verify the paper's framing end to end:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -20,7 +20,13 @@ from repro.noc.flit import Port, UPWARD_PORTS
 from repro.topology.chiplet import SystemTopology
 
 
-def _link_map(topo: SystemTopology) -> Dict[Tuple[int, Port], Tuple[int, Port]]:
+#: (router id, output port): one entry of a route's channel sequence.
+Channel = Tuple[int, Port]
+#: ``{(src, dst): channels}`` over many pairs, as built by :func:`all_routes`.
+Routes = Dict[Tuple[int, int], List[Channel]]
+
+
+def healthy_links(topo: SystemTopology) -> Dict[Channel, Tuple[int, Port]]:
     """(src, src_port) -> (dst, dst_port) over healthy links."""
     result = {}
     for spec in topo.links:
@@ -54,17 +60,18 @@ class RoutingLoopError(RuntimeError):
 
 
 def route_channels(
-    network, src: int, dst: int, max_hops: Optional[int] = None
-) -> List[Tuple[int, Port]]:
+    network, src: int, dst: int, max_hops: Optional[int] = None, links: Optional[dict] = None
+) -> List[Channel]:
     """The (router, out_port) channel sequence of the route src -> dst.
 
     ``max_hops`` bounds the walk (default ``4 * n_routers``, generous for
     any minimal or up*/down* route); a route exceeding it, or one steered
     into a port with no healthy outgoing link, raises
-    :class:`RoutingLoopError` with the partial trace.
+    :class:`RoutingLoopError` with the partial trace.  ``links`` is a
+    precomputed :func:`healthy_links` map, for callers walking many routes.
     """
     topo = network.topo
-    links = _link_map(topo)
+    links = healthy_links(topo) if links is None else links
     if max_hops is None:
         max_hops = 4 * topo.n_routers
     channels = []
@@ -91,22 +98,34 @@ def route_channels(
     return channels
 
 
-def build_system_cdg(network, nodes: Optional[List[int]] = None) -> nx.DiGraph:
+def all_routes(network, nodes: Sequence[int]) -> Routes:
+    """``{(src, dst): channels}`` for every ordered pair of distinct
+    ``nodes``, src-major and dst-minor, walked over one link map."""
+    links = healthy_links(network.topo)
+    return {
+        (src, dst): route_channels(network, src, dst, links=links)
+        for src in nodes
+        for dst in nodes
+        if src != dst
+    }
+
+
+def build_system_cdg(
+    network, nodes: Optional[List[int]] = None, routes: Optional[Routes] = None
+) -> nx.DiGraph:
     """CDG over every routed (src, dst) pair among ``nodes`` (default: all
-    NIs, chiplet and interposer alike)."""
-    topo = network.topo
-    if nodes is None:
-        nodes = list(range(topo.n_routers))
+    NIs, chiplet and interposer alike), or over a precomputed
+    :func:`all_routes` table.  Channels and dependencies are inserted in
+    route-table order, which fixes ``nx.find_cycle``/``simple_cycles``."""
+    if routes is None:
+        routes = all_routes(network, range(network.topo.n_routers) if nodes is None else nodes)
+    # re-adding a channel or dependency keeps its first insertion position,
+    # so adding each once, in order of first appearance, builds the same graph
     graph = nx.DiGraph()
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
-                continue
-            channels = route_channels(network, src, dst)
-            for a, b in zip(channels, channels[1:]):
-                graph.add_edge(a, b)
-            for c in channels:
-                graph.add_node(c)
+    graph.add_nodes_from(dict.fromkeys(c for chans in routes.values() for c in chans))
+    graph.add_edges_from(
+        dict.fromkeys(dep for chans in routes.values() for dep in zip(chans, chans[1:]))
+    )
     return graph
 
 

@@ -359,8 +359,11 @@ class SweepService:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            body = await reader.readexactly(length) if length else b""
+            raw_length = headers.get("content-length", "0") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                await self._respond(writer, 400, {"error": "invalid Content-Length"})
+                return
+            body = await reader.readexactly(int(raw_length))
             await self._route(method, target.partition("?")[0], body, writer)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass

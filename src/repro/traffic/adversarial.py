@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.noc.ni import Endpoint
-from repro.routing.cdg import build_system_cdg, route_channels
+from repro.routing.cdg import all_routes, build_system_cdg
 from repro.traffic.synthetic import DATA_VNET
 
 
@@ -35,32 +35,22 @@ def witness_flows(network, nodes: Optional[List[int]] = None) -> List[Tuple[int,
     """
     if nodes is None:
         nodes = network.topo.chiplet_nodes
-    graph = build_system_cdg(network, nodes)
+    routes = all_routes(network, nodes)
+    graph = build_system_cdg(network, routes=routes)
     try:
         cycle = nx.find_cycle(graph)
     except nx.NetworkXNoCycle:
         raise ValueError("routing CDG is acyclic; no deadlock is constructible")
-    edge_witness: Dict[Tuple, Tuple[int, int]] = {}
     wanted = {(u, v) for u, v in cycle}
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
-                continue
-            channels = route_channels(network, src, dst)
-            for a, b in zip(channels, channels[1:]):
-                if (a, b) in wanted and (a, b) not in edge_witness:
-                    edge_witness[(a, b)] = (src, dst)
+    edge_witness: Dict[Tuple, Tuple[int, int]] = {}
+    for flow, channels in routes.items():
+        for edge in zip(channels, channels[1:]):
+            if edge in wanted:
+                edge_witness.setdefault(edge, flow)
         if len(edge_witness) == len(wanted):
             break
-    missing = wanted - set(edge_witness)
-    if missing:
-        raise RuntimeError(f"no witness route for CDG edges {missing}")
-    flows = []
-    for edge in cycle:
-        flow = edge_witness[(edge[0], edge[1])]
-        if flow not in flows:
-            flows.append(flow)
-    return flows
+    # every CDG edge comes from a route in the table, so each has a witness
+    return list(dict.fromkeys(edge_witness[(u, v)] for u, v in cycle))
 
 
 class SaturatingEndpoint(Endpoint):

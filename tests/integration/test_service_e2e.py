@@ -7,6 +7,8 @@ single-flight dedup of concurrent identical submissions; and
 kill-and-restart queue resume.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -100,6 +102,23 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as excinfo:
                 client.result("nonexistent0")
             assert excinfo.value.status == 404
+
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_invalid_content_length_is_a_400(self, tmp_path, length):
+        with BackgroundService(tmp_path / "queue") as svc:
+            with socket.create_connection(("127.0.0.1", svc.port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /v1/sweeps HTTP/1.1\r\nHost: localhost\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert json.loads(body) == {"error": "invalid Content-Length"}
+            assert ServiceClient(port=svc.port).health()
 
 
 def fake_row(spec):
