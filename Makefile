@@ -51,9 +51,10 @@ examples-smoke:
 	PYTHONPATH=src REPRO_JOBS=2 $(PYTHON) examples/quickstart.py
 	PYTHONPATH=src REPRO_JOBS=2 $(PYTHON) examples/coherence_workload.py blackscholes 0.05
 
-# boot a real `python -m repro serve` subprocess and drive it with
-# repro.client: submit, stream SSE progress, warm-resubmit (must execute
-# zero simulations), graceful SIGTERM shutdown
+# boot a real `python -m repro serve --jobs 2` subprocess and drive it
+# with repro.client: submit, stream SSE progress, warm-resubmit (must
+# execute zero simulations), graceful SIGTERM shutdown that leaves no
+# worker process behind
 service-smoke:
 	PYTHONPATH=src $(PYTHON) tools/service_smoke.py
 

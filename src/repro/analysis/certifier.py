@@ -35,12 +35,13 @@ simulated.  This module turns the test-only CDG machinery of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.noc.flit import OPPOSITE, Port, UPWARD_PORTS
 from repro.routing.cdg import Channel, Routes, build_system_cdg, healthy_links
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: scheme expectation values (see ``DeadlockScheme.cdg_expectation``).
 EXPECT_ACYCLIC = "acyclic"
@@ -276,6 +277,8 @@ def _upward_channels(graph: nx.DiGraph, topo) -> List[Channel]:
 
 
 def _witness_cycles(graph: nx.DiGraph, limit: int) -> List[List[Channel]]:
+    import networkx as nx
+
     witnesses = []
     for cycle in nx.simple_cycles(graph):
         witnesses.append(list(cycle))
@@ -292,6 +295,8 @@ def certify_network(network, max_witnesses: int = 5) -> Certificate:
     route for totality, and scores the result against the scheme's
     declared ``cdg_expectation``.
     """
+    import networkx as nx
+
     topo = network.topo
     scheme = network.scheme
     expectation = getattr(scheme, "cdg_expectation", EXPECT_UPWARD_CYCLES)

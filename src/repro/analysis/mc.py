@@ -57,8 +57,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.noc.flit import UPWARD_PORTS
 from repro.routing.cdg import Channel, all_routes, build_system_cdg, route_channels
 from repro.schemes.registry import make_scheme, scheme_names
@@ -480,6 +478,8 @@ def select_flows(
     Raises ``ValueError`` when no candidate deadlocks (e.g. composable
     routing's acyclic CDG).
     """
+    import networkx as nx
+
     nodes = network.topo.chiplet_nodes
     routes = all_routes(network, nodes)
     graph = build_system_cdg(network, routes=routes)

@@ -18,12 +18,7 @@ from repro.exp.backends import (
     TieredBackend,
 )
 from repro.exp.cache import CODE_VERSION, ResultCache, cache_key, git_revision
-from repro.exp.runner import (
-    ExperimentRunner,
-    RunnerStats,
-    WorkerCrashError,
-    default_runner,
-)
+from repro.exp.runner import ExperimentRunner, RunnerStats, WorkerCrashError
 from repro.exp.schemas import JOB_SCHEMA, JobSchemaError, validate_job
 from repro.exp.tasks import execute_spec, sweep_point_spec, workload_spec
 
@@ -40,7 +35,6 @@ __all__ = [
     "TieredBackend",
     "WorkerCrashError",
     "cache_key",
-    "default_runner",
     "execute_spec",
     "git_revision",
     "sweep_point_spec",

@@ -7,7 +7,10 @@ It layers four things over a bare loop:
 * **fan-out** — ``jobs > 1`` distributes points over a
   ``concurrent.futures`` process pool (points are embarrassingly
   parallel: every one builds a fresh seeded network, so parallel results
-  are bit-identical to serial by construction);
+  are bit-identical to serial by construction).  The pool is created per
+  :meth:`~ExperimentRunner.run` round, or *borrowed* via ``pool=``: a
+  long-lived executor (the sweep service's warm workers) that the runner
+  uses but never shuts down;
 * **content-addressed caching** — with a
   :class:`~repro.exp.backends.CacheBackend` attached (sharded-dir
   :class:`~repro.exp.cache.ResultCache`, in-memory, or tiered),
@@ -17,9 +20,10 @@ It layers four things over a bare loop:
   skips every completed point and continues where it died;
 * **retry on worker crash** — a worker process dying (OOM kill, signal)
   breaks the pool; affected points are resubmitted to a fresh pool up to
-  ``retries`` times.  Deterministic task exceptions (a workload timeout,
-  a :class:`DeadlockError`) are *not* retried — rerunning a
-  deterministic failure can only waste CPU — and propagate to the caller;
+  ``retries`` times (a borrowed pool that broke is never reused).
+  Deterministic task exceptions (a workload timeout, a
+  :class:`DeadlockError`) are *not* retried — rerunning a deterministic
+  failure can only waste CPU — and propagate to the caller;
 * **structured progress** — an optional ``progress(done, total, label,
   source)`` callback fires once per completed point with ``source`` in
   ``{"cache", "run"}``.
@@ -34,8 +38,7 @@ identical series.
 from __future__ import annotations
 
 import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
@@ -100,7 +103,13 @@ ProgressFn = Callable[[int, int, str, str], None]
 
 
 class ExperimentRunner:
-    """Executes task specs serially or across worker processes."""
+    """Executes task specs serially or across worker processes.
+
+    ``pool`` lends the runner an executor for its parallel rounds
+    (``jobs > 1``; ``jobs == 1`` runs inline and ignores it).  The
+    runner never shuts a borrowed pool down; it cancels its own queued
+    points on the way out and stops using the pool once it breaks.
+    """
 
     def __init__(
         self,
@@ -110,6 +119,7 @@ class ExperimentRunner:
         execute: Optional[Callable[[Mapping], Dict[str, object]]] = None,
         mp_context: Optional[str] = None,
         progress: Optional[ProgressFn] = None,
+        pool: Optional[Executor] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -123,6 +133,8 @@ class ExperimentRunner:
         self.execute = execute if execute is not None else execute_spec
         self._mp_context = mp_context
         self.progress = progress
+        #: the borrowed executor; None once it broke.
+        self.pool = pool
         self.stats = RunnerStats()
 
     # ------------------------------------------------------------------ #
@@ -211,21 +223,22 @@ class ExperimentRunner:
         self, specs, keys, pending, attempts, results, total
     ) -> List[int]:
         """One pool lifetime; returns the indexes needing a retry pool."""
-        ctx = self._resolve_context()
-        retry: List[int] = []
-        executor = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)), mp_context=ctx
+        borrowed = self.pool
+        executor = borrowed or ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(pending)),
+            mp_context=pool_context(self._mp_context),
         )
+        retry: List[int] = []
+        futures: Dict[Future, int] = {}
         try:
-            futures = {
-                executor.submit(self.execute, specs[index]): index
-                for index in pending
-            }
+            for index in pending:
+                futures[_submit(executor, self.execute, specs[index])] = index
             for future in as_completed(futures):
                 index = futures[future]
                 try:
                     result = future.result()
                 except BrokenProcessPool:
+                    self.pool = None  # a broken borrowed pool stays broken
                     attempts[index] += 1
                     if attempts[index] > self.retries:
                         raise WorkerCrashError(
@@ -242,37 +255,33 @@ class ExperimentRunner:
                 self._store(keys[index], specs[index], result)
                 self._report(len(results), total, specs[index], "run")
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            if borrowed is None:
+                executor.shutdown(wait=False, cancel_futures=True)
+            else:
+                for future in futures:
+                    future.cancel()
         return retry
 
-    def _resolve_context(self):
-        if self._mp_context is not None:
-            return multiprocessing.get_context(self._mp_context)
-        # fork (where available) keeps worker start cheap and lets tests
-        # inject executor functions defined in already-imported modules;
-        # spawn is the portable fallback.
+
+def _submit(executor: Executor, fn, spec) -> Future:
+    """``executor.submit``, except that a pool already broken (a worker
+    died while points were still being submitted, or a borrowed pool
+    broke while idle) yields a failed future, so every point of a round
+    takes the same retry path."""
+    try:
+        return executor.submit(fn, spec)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def pool_context(method: Optional[str] = None):
+    """The multiprocessing context for worker pools: ``method`` if given,
+    else fork where available (cheap worker start; workers inherit the
+    parent's loaded modules, including executors that tests inject) and
+    spawn as the portable fallback."""
+    if method is None:
         methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-
-
-def default_runner(progress: Optional[ProgressFn] = None) -> ExperimentRunner:
-    """Deprecated: runner configured from the environment.
-
-    Environment configuration (``REPRO_JOBS`` worker count,
-    ``REPRO_CACHE_DIR`` cache attachment) now lives in **one** place —
-    :func:`repro.api.make_runner`, which reads both variables when its
-    arguments are None.  This shim delegates there and warns; it will be
-    removed once external callers have migrated.
-    """
-    warnings.warn(
-        "repro.exp.default_runner() is deprecated; environment "
-        "configuration (REPRO_JOBS / REPRO_CACHE_DIR) moved to "
-        "repro.api.make_runner()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.make_runner(progress=progress)
+        method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(method)

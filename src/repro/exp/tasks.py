@@ -160,6 +160,22 @@ _EXECUTORS: Dict[str, Callable[[Mapping], Dict[str, object]]] = {
 }
 
 
+def preload_simulation_stack() -> None:
+    """Import everything :func:`execute_spec` runs: the vector engine
+    (and numpy with it), the simulator and the traffic registries (the
+    scheme and topology registries load with this module).
+
+    A process that calls this before forking workers hands them the
+    loaded modules, so their first point simulates at once.  Submitted
+    to a fresh pool it forks the workers; there it finds every module
+    already loaded and returns.
+    """
+    import repro.noc.vector  # noqa: F401
+    import repro.sim.simulator  # noqa: F401
+    import repro.traffic.coherence  # noqa: F401
+    import repro.traffic.synthetic  # noqa: F401
+
+
 def execute_spec(spec: Mapping) -> Dict[str, object]:
     """Run one task spec to completion and return its plain-dict result.
 

@@ -12,12 +12,13 @@ Used by the test suite to verify the paper's framing end to end:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.noc.flit import Port, UPWARD_PORTS
 from repro.topology.chiplet import SystemTopology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 #: (router id, output port): one entry of a route's channel sequence.
@@ -117,6 +118,8 @@ def build_system_cdg(
     NIs, chiplet and interposer alike), or over a precomputed
     :func:`all_routes` table.  Channels and dependencies are inserted in
     route-table order, which fixes ``nx.find_cycle``/``simple_cycles``."""
+    import networkx as nx
+
     if routes is None:
         routes = all_routes(network, range(network.topo.n_routers) if nodes is None else nodes)
     # re-adding a channel or dependency keeps its first insertion position,
@@ -131,12 +134,16 @@ def build_system_cdg(
 
 def is_deadlock_free(network, nodes: Optional[List[int]] = None) -> bool:
     """True iff the routed channel-dependency graph is acyclic."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(build_system_cdg(network, nodes))
 
 
 def cycles_all_contain_upward_channel(network, max_cycles: int = 2000) -> bool:
     """Verify the paper's Sec. IV theorem on this network's CDG: every
     dependency cycle includes at least one upward vertical channel."""
+    import networkx as nx
+
     graph = build_system_cdg(network)
     topo = network.topo
     checked = 0

@@ -26,9 +26,7 @@ cost is exposed via ``design_evaluations`` for the flexibility analysis.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import OPPOSITE, Port
 from repro.routing.base import RestrictedTurnModel, XYTurnModel
@@ -37,6 +35,9 @@ from repro.routing.table import TableRouting
 from repro.routing.xy import XYLocalRouting
 from repro.schemes.base import DeadlockScheme
 from repro.topology.chiplet import SystemTopology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Restriction = Tuple[int, Port, Port]
 
@@ -113,6 +114,8 @@ def _chiplet_cdg(
 ) -> nx.DiGraph:
     """Channel-dependency graph of one chiplet, closed with conservative
     external down->up edges (the virtual-node abstraction)."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for rid in members:
         # outbound route rid -> exit boundary -> DOWN
@@ -171,6 +174,8 @@ def design_chiplet(
     Returns the design and the number of candidate evaluations performed
     (the algorithmic cost the paper calls impractical at runtime).
     """
+    import networkx as nx
+
     members = topo.chiplet_routers(chiplet)
     boundaries = topo.boundary_routers(chiplet)
     restrictions: Set[Restriction] = set()

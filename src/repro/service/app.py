@@ -18,13 +18,16 @@ A :class:`SweepService` is a long-running asyncio process that turns
   fingerprint execute **once**; the follower awaits the leader's result
   and completes with ``metrics.deduped = true``.  Sequential
   duplicates are deduped by the cache instead (``executed == 0``);
+* **warm workers** — start-up loads the simulation stack once, then
+  each job loop forks one long-lived pool of ``sim_jobs`` processes
+  that inherit it, so a cold job starts simulating at once;
 * **retry with backoff** — a job whose worker pool breaks
   (``BrokenProcessPool``: OOM-killed or signalled workers) is retried
-  with exponential backoff; deterministic failures fail the job
-  immediately;
+  with exponential backoff on a fresh warm pool; deterministic failures
+  fail the job immediately;
 * **graceful shutdown** — :meth:`SweepService.stop` stops accepting,
-  requeues in-flight jobs (persisted as ``queued``) and lets the next
-  process pick them up.
+  requeues in-flight jobs (persisted as ``queued``), shuts the worker
+  pools down and lets the next process pick the jobs up.
 
 The HTTP layer is stdlib asyncio streams — no framework, no new
 dependencies; responses are ``Connection: close`` JSON (or an SSE
@@ -40,12 +43,14 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.exp.backends import CacheBackend
-from repro.exp.runner import ExperimentRunner, WorkerCrashError
+from repro.exp.runner import ExperimentRunner, WorkerCrashError, pool_context
 from repro.exp.schemas import JobSchemaError
+from repro.exp.tasks import preload_simulation_stack
 from repro.service import schemas as wire
 from repro.service.jobs import Job
 from repro.service.queue import JobQueue
@@ -55,6 +60,10 @@ TERMINAL_EVENTS = ("done", "failed")
 
 #: service stats wire tag (`GET /v1/stats`).
 STATS_SCHEMA = "repro-service-stats/v1"
+
+#: largest request body the server reads; a longer ``Content-Length``
+#: is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
 
 
 class SweepService:
@@ -94,6 +103,9 @@ class SweepService:
         self._subscribers: Dict[str, Set[asyncio.Queue]] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._worker_tasks: List[asyncio.Task] = []
+        #: one warm simulation pool per job loop (``sim_jobs > 1`` only;
+        #: a single-process job simulates inline).
+        self._pools: List[ProcessPoolExecutor] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._wake: Optional[asyncio.Event] = None
         self._started_unix = time.time()
@@ -101,24 +113,52 @@ class SweepService:
     # ------------------------------------------------------------- lifecycle
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> "SweepService":
-        """Bind the HTTP server and start the worker loops.
+        """Load the simulation stack, fork the warm worker pools, bind
+        the HTTP server and start the worker loops.
 
         ``port=0`` binds an ephemeral port; read it back from ``.port``.
         """
+        preload_simulation_stack()
+        if self.sim_jobs > 1:
+            self._pools = [self._warm_pool() for _ in range(self.workers)]
         self._wake = asyncio.Event()
         if self.queue.pending():
             self._wake.set()  # recovered (or pre-seeded) jobs: start now
-        self._server = await asyncio.start_server(self._handle_conn, host, port)
+        try:
+            self._server = await asyncio.start_server(self._handle_conn, host, port)
+        except BaseException:
+            await self._close_pools()
+            raise
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
         self._worker_tasks = [
-            asyncio.create_task(self._worker_loop(), name=f"sweep-worker-{i}")
+            asyncio.create_task(self._worker_loop(i), name=f"sweep-worker-{i}")
             for i in range(self.workers)
         ]
         return self
 
+    def _warm_pool(self) -> ProcessPoolExecutor:
+        """A simulation pool whose workers are forked now, so they
+        inherit the loaded stack and wait idle for the first point."""
+        pool = ProcessPoolExecutor(self.sim_jobs, mp_context=pool_context())
+        pool.submit(preload_simulation_stack)
+        return pool
+
+    async def _close_pools(self) -> None:
+        """Join every worker once the points already submitted finish.
+
+        A requeued job's runner thread keeps storing those results, so
+        the next process replays them from the cache.  (Cancelling them
+        instead would leave the thread waiting on them forever:
+        ``shutdown(cancel_futures=True)`` does not wake ``as_completed``.)
+        """
+        pools, self._pools = self._pools, []
+        for pool in pools:
+            await asyncio.to_thread(pool.shutdown, wait=True)
+
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, requeue in-flight jobs."""
+        """Graceful shutdown: stop accepting, requeue in-flight jobs,
+        shut the worker pools down."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -127,6 +167,7 @@ class SweepService:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
+        await self._close_pools()
         # wake any stream subscriber still waiting so connections close
         for queues in self._subscribers.values():
             for queue in queues:
@@ -155,7 +196,7 @@ class SweepService:
 
     # ------------------------------------------------------------- workers
 
-    async def _worker_loop(self) -> None:
+    async def _worker_loop(self, slot: int) -> None:
         assert self._wake is not None
         while True:
             job = self.queue.claim_next()
@@ -163,9 +204,9 @@ class SweepService:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            await self._run_job(job)
+            await self._run_job(job, slot)
 
-    async def _run_job(self, job: Job) -> None:
+    async def _run_job(self, job: Job, slot: int) -> None:
         queue_wait = (job.started_unix or 0.0) - job.submitted_unix
         job.metrics["queue_wait_s"] = queue_wait
         self.totals["queue_wait_s"] += queue_wait
@@ -188,7 +229,7 @@ class SweepService:
                 )
                 self._inflight[job.fingerprint] = fut
                 try:
-                    result, stats = await self._execute_with_retry(job)
+                    result, stats = await self._execute_with_retry(job, slot)
                     if not fut.cancelled():
                         fut.set_result((result, stats))
                 except BaseException as exc:
@@ -235,10 +276,11 @@ class SweepService:
             },
         )
 
-    async def _execute_with_retry(self, job: Job):
-        """Run the job's request, backing off exponentially when the
-        worker pool breaks (a crashed worker process, not a failed
-        simulation — deterministic errors propagate unretried)."""
+    async def _execute_with_retry(self, job: Job, slot: int):
+        """Run the job's request on job loop ``slot``'s pool, backing
+        off exponentially when the pool breaks (a crashed worker process,
+        not a failed simulation — deterministic errors propagate
+        unretried).  A broken pool is replaced before the retry."""
         loop = asyncio.get_running_loop()
         delay = self.backoff_base
         for attempt in range(self.retries + 1):
@@ -258,10 +300,14 @@ class SweepService:
                 retries=0,  # the service owns retry policy (with backoff)
                 execute=self.execute,
                 progress=progress,
+                pool=self._pools[slot] if self._pools else None,
             )
             try:
                 result = await asyncio.to_thread(self._run_request, job, runner)
             except (BrokenProcessPool, WorkerCrashError) as exc:
+                if self._pools:
+                    self._pools[slot].shutdown(wait=False)
+                    self._pools[slot] = self._warm_pool()
                 if attempt == self.retries:
                     raise WorkerCrashError(
                         f"job {job.id} broke its worker pool "
@@ -276,7 +322,7 @@ class SweepService:
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, self.backoff_cap)
                 continue
-            return result, runner.stats.as_dict()
+            return result, dict(runner.stats.as_dict(), retried=attempt)
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _run_request(self, job: Job, runner: ExperimentRunner):
@@ -363,6 +409,13 @@ class SweepService:
             if not (raw_length.isascii() and raw_length.isdigit()):
                 await self._respond(writer, 400, {"error": "invalid Content-Length"})
                 return
+            if int(raw_length) > MAX_BODY_BYTES:
+                await self._respond(
+                    writer,
+                    413,
+                    {"error": f"request body over {MAX_BODY_BYTES} bytes"},
+                )
+                return
             body = await reader.readexactly(int(raw_length))
             await self._route(method, target.partition("?")[0], body, writer)
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -434,7 +487,8 @@ class SweepService:
         self, writer: asyncio.StreamWriter, status: int, payload
     ) -> None:
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 409: "Conflict"}.get(status, "OK")
+                  404: "Not Found", 409: "Conflict",
+                  413: "Content Too Large"}.get(status, "OK")
         body = json.dumps(payload).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"

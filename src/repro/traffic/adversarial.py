@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.noc.ni import Endpoint
 from repro.routing.cdg import all_routes, build_system_cdg
 from repro.traffic.synthetic import DATA_VNET
@@ -33,6 +31,8 @@ def witness_flows(network, nodes: Optional[List[int]] = None) -> List[Tuple[int,
     Raises ``ValueError`` when the network's routing has an acyclic CDG
     (composable routing) — no adversarial workload can deadlock it.
     """
+    import networkx as nx
+
     if nodes is None:
         nodes = network.topo.chiplet_nodes
     routes = all_routes(network, nodes)

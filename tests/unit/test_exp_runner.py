@@ -1,5 +1,6 @@
 """Tests for the process-parallel experiment runner: ordering, caching,
-early-stop semantics, progress reporting and crash retry.
+early-stop semantics, progress reporting, crash retry and borrowed
+(long-lived) worker pools.
 
 The crash tests inject module-level executor functions (picklable by
 reference) and force the ``fork`` start method so workers inherit this
@@ -8,12 +9,14 @@ already-imported module; they are skipped where fork is unavailable.
 
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 from repro.exp.cache import ResultCache
-from repro.exp.runner import ExperimentRunner, WorkerCrashError, default_runner
+from repro.exp.runner import ExperimentRunner, WorkerCrashError
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -36,6 +39,14 @@ def _crash_once(spec):
 
 def _always_crash(spec):
     os._exit(13)
+
+
+def _pid(spec):
+    return {"i": spec["i"], "pid": os.getpid()}
+
+
+def fork_pool(workers=2):
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _fail_deterministically(spec):
@@ -150,18 +161,57 @@ class TestParallel:
         assert runner.stats.retried == 0
 
 
-class TestDefaultRunner:
-    """Env configuration now lives in repro.api.make_runner; the old
-    repro.exp.default_runner shim must warn and delegate."""
+@needs_fork
+class TestBorrowedPool:
+    def test_pool_serves_many_runs_and_stays_open(self):
+        with fork_pool() as pool:
+            results = []
+            for _ in range(2):
+                runner = ExperimentRunner(jobs=2, execute=_pid, pool=pool)
+                results += runner.run(specs(4))
+                assert runner.pool is pool
+            assert [r["i"] for r in results] == [0, 1, 2, 3] * 2
+            pids = {r["pid"] for r in results}
+            assert len(pids) <= 2 and os.getpid() not in pids
+            assert pool.submit(_double, {"i": 3}).result() == {"i": 3, "value": 6}
 
-    def test_default_runner_is_deprecated(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with pytest.warns(DeprecationWarning, match="repro.api.make_runner"):
-            runner = default_runner()
-        assert runner.jobs == 3
-        assert runner.cache is not None
-        assert runner.cache.root == tmp_path
+    def test_jobs_one_runs_inline(self):
+        with fork_pool() as pool:
+            runner = ExperimentRunner(jobs=1, execute=_pid, pool=pool)
+            assert {r["pid"] for r in runner.run(specs(2))} == {os.getpid()}
+
+    def test_broken_pool_is_dropped_and_points_retried(self, tmp_path):
+        pool = fork_pool()
+        runner = ExperimentRunner(jobs=2, execute=_crash_once, retries=2, pool=pool)
+        results = runner.run(specs(2, crash_dir=str(tmp_path)))
+        assert [r["value"] for r in results] == [0, 2]
+        assert runner.stats.retried >= 1
+        assert runner.pool is None
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(_double, {"i": 0})
+        pool.shutdown()
+
+    def test_pool_broken_before_the_run_counts_as_a_crash(self):
+        pool = fork_pool()
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(_always_crash, {"i": 0}).result()
+        runner = ExperimentRunner(jobs=2, execute=_double, retries=1, pool=pool)
+        assert [r["value"] for r in runner.run(specs(3))] == [0, 2, 4]
+        assert runner.stats.retried == 3
+        assert runner.pool is None
+        pool.shutdown()
+
+    def test_broken_pool_without_retries_gives_up(self):
+        pool = fork_pool()
+        runner = ExperimentRunner(jobs=2, execute=_always_crash, retries=0, pool=pool)
+        with pytest.raises(WorkerCrashError, match="giving up"):
+            runner.run(specs(2))
+        assert runner.pool is None
+        pool.shutdown()
+
+
+class TestDefaultRunner:
+    """Env configuration lives in one place: repro.api.make_runner."""
 
     def test_make_runner_reads_env_without_warning(self, monkeypatch, tmp_path):
         import warnings
@@ -187,8 +237,8 @@ class TestDefaultRunner:
         assert runner.cache is None
 
     def test_library_sweep_path_does_not_warn(self, monkeypatch):
-        """run_sweep without runner= must not route through the
-        deprecated shim (the env read happens in repro.api)."""
+        """run_sweep without runner= reads the environment through
+        repro.api without any deprecation warning."""
         import warnings
 
         from repro.sim.experiment import _runner_or_default

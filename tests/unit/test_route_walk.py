@@ -9,7 +9,12 @@ and check the shared link map and route table after a fault event.
 """
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -58,6 +63,37 @@ def test_witness_flows_golden():
         baseline_system(), NocConfig(vcs_per_vnet=1, seed=2022), UPPScheme()
     )
     assert witness_flows(net) == BASELINE_WITNESS_FLOWS
+
+
+IMPORT_GUARD = """
+import json, sys
+import repro, repro.__main__, repro.service.app
+loaded_at_startup = "networkx" in sys.modules
+from repro.noc.config import NocConfig
+from repro.noc.network import Network
+from repro.schemes.upp import UPPScheme
+from repro.topology.chiplet import baseline_system
+from repro.traffic.adversarial import witness_flows
+net = Network(baseline_system(), NocConfig(vcs_per_vnet=1, seed=2022), UPPScheme())
+print(json.dumps([loaded_at_startup, witness_flows(net)]))
+"""
+
+
+def test_startup_does_not_import_networkx():
+    """The CLI and the service load networkx only when a routing
+    analysis runs, and the lazily imported analysis still yields the
+    pinned witness flows."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    loaded_at_startup, flows = json.loads(out)
+    assert not loaded_at_startup
+    assert [tuple(flow) for flow in flows] == BASELINE_WITNESS_FLOWS
 
 
 @pytest.mark.parametrize(

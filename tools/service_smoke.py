@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Service smoke check (CI `service-smoke` job).
 
-Boots a real ``python -m repro serve`` subprocess, then drives it with
+Boots a real ``python -m repro serve --jobs 2`` subprocess (the warm
+two-process simulation pool), then drives it with
 :class:`repro.client.ServiceClient` the way a user would:
 
 1. submit a tiny sweep and stream its progress over SSE;
 2. re-submit the identical request and assert the warm run executes
    **zero** simulations (tiered cache hit, visible in ``/v1/stats``);
-3. SIGTERM the server and assert it shuts down gracefully (exit 0).
+3. SIGTERM the server and assert it shuts down gracefully (exit 0)
+   and leaves none of its worker processes behind.
 
 Run:  PYTHONPATH=src python tools/service_smoke.py
 """
@@ -31,6 +33,30 @@ def fail(message: str) -> "None":
     sys.exit(1)
 
 
+def children_of(pid: int) -> list:
+    """PIDs of the live processes whose parent is ``pid`` (reads /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def main() -> int:
     tmp = tempfile.mkdtemp(prefix="repro-service-smoke-")
     env = dict(os.environ)
@@ -40,7 +66,7 @@ def main() -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--queue-dir", os.path.join(tmp, "queue"),
-         "--cache-dir", os.path.join(tmp, "cache"), "--tiered"],
+         "--cache-dir", os.path.join(tmp, "cache"), "--tiered", "--jobs", "2"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
@@ -83,12 +109,19 @@ def main() -> int:
         print(f"warm: executed=0 cached={warm['metrics']['cached']} "
               f"l1_hits={stats['cache']['l1_hits']}")
 
-        # 3. graceful shutdown
+        # 3. graceful shutdown, taking the worker pool with it
+        workers = children_of(proc.pid)
+        if len(workers) < 2:
+            fail(f"expected the 2 warm workers as children, found {workers}")
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=60)
         print(out.rstrip())
         if proc.returncode != 0:
             fail(f"server exited {proc.returncode} on SIGTERM")
+        leftover = [pid for pid in workers if alive(pid)]
+        if leftover:
+            fail(f"worker processes {leftover} outlived the server")
+        print(f"shutdown: {len(workers)} worker processes reaped")
         print("service-smoke: OK")
         return 0
     finally:
